@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build the release and asan-ubsan presets and run
-# the test suite under both. The sanitizer run exercises the threaded
-# metric-evaluation path (MetricEngineProperty.ThreadedBatchMatchesSequential)
-# under ASan/UBSan, catching data races' memory effects and UB in the index.
+# the test suite under both. The sanitizer run covers the thread-pool users
+# (variant runner, serve, store migration) and the metric indexes under
+# ASan/UBSan, catching memory errors and UB the release run cannot see.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

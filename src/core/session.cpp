@@ -57,7 +57,8 @@ DiagnosisSession::DiagnosisSession(simmpi::ExecutionTrace trace, pc::PcConfig co
   view_ = std::make_unique<metrics::TraceView>(*trace_);
 }
 
-pc::DiagnosisResult DiagnosisSession::diagnose(const pc::DirectiveSet& directives) {
+pc::DiagnosisResult DiagnosisSession::diagnose(const pc::DirectiveSet& directives,
+                                               std::string* dot) {
   pc::PerformanceConsultant consultant(*view_, config_, directives);
   pc::DiagnosisResult result;
   {
@@ -65,6 +66,7 @@ pc::DiagnosisResult DiagnosisSession::diagnose(const pc::DirectiveSet& directive
     result = consultant.run();
   }
   last_shg_ = consultant.shg().render();
+  if (dot) *dot = consultant.shg().to_dot();
   // Fold the consultant's registry (pc.* counters/timers and their lap
   // histograms) into the session's, so registry() — and any PerfRecord
   // made from it — covers the whole run, not just the session phases.
@@ -96,7 +98,6 @@ telemetry::PerfRecord DiagnosisSession::make_perf_record(const std::string& vers
   rec.config["cost_limit"] = std::to_string(config_.cost_limit);
   rec.config["batched_eval"] = config_.batched_eval ? "1" : "0";
   rec.config["interned_foci"] = config_.interned_foci ? "1" : "0";
-  rec.config["search_threads"] = std::to_string(config_.search_threads);
   rec.config["trace_cache"] = config_.trace_cache_dir.empty() ? "0" : "1";
   rec.registry = registry_;
   return rec;

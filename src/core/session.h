@@ -50,8 +50,11 @@ class DiagnosisSession {
   pc::PcConfig& config() { return config_; }
 
   /// Run the Performance Consultant over this execution. Each call is an
-  /// independent online search (fresh instrumentation).
-  pc::DiagnosisResult diagnose(const pc::DirectiveSet& directives = {});
+  /// independent online search (fresh instrumentation). When `dot` is
+  /// non-null it receives this search's SHG as Graphviz
+  /// (SearchHistoryGraph::to_dot); it is rendered only when asked for.
+  pc::DiagnosisResult diagnose(const pc::DirectiveSet& directives = {},
+                               std::string* dot = nullptr);
 
   /// Figure 2-style rendering of the most recent diagnosis's SHG.
   const std::string& last_shg() const { return last_shg_; }

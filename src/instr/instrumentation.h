@@ -22,7 +22,6 @@
 #include "instr/cost_model.h"
 #include "metrics/metric_batch.h"
 #include "metrics/metric_instance.h"
-#include "metrics/spec_eval.h"
 #include "telemetry/tracer.h"
 
 namespace histpc::instr {
@@ -42,9 +41,6 @@ struct EvalConfig {
   /// Batched engine (one interval pass fanned out to all probes) vs the
   /// reference per-instance scan. Values are bit-identical.
   bool batched = true;
-  /// > 1 enables rank-parallel batched evaluation with that many worker
-  /// threads (sequential when <= 1 or when the scan engine is selected).
-  int threads = 0;
 };
 
 class InstrumentationManager {
@@ -68,18 +64,6 @@ class InstrumentationManager {
   /// Id twin: the focus is an id in the view's FocusTable. No focus-name
   /// string is built unless event tracing is on.
   ProbeId insert(metrics::MetricKind metric, resources::FocusId focus, double now);
-
-  /// Insert a probe whose verdict was speculatively precomputed: the probe
-  /// carries full cost (the application would have paid it) but is backed
-  /// by the handle's SpecSample instead of a live engine slot. read()
-  /// before the group's conclusion tick reports only the observed-window
-  /// length (the decision loop never consumes value/fraction of an
-  /// unconcluded probe); at the conclusion tick it returns the
-  /// precomputed sample — bit-identical to what a live slot would have
-  /// produced — blocking on the worker only if the evaluation is somehow
-  /// still in flight.
-  ProbeId insert_speculated(metrics::MetricKind metric, resources::FocusId focus,
-                            double now, metrics::SpecHandle handle);
 
   /// Delete a probe, releasing its cost immediately.
   void remove(ProbeId id);
@@ -116,7 +100,6 @@ class InstrumentationManager {
   struct Probe {
     std::optional<metrics::MetricInstance> instance;  ///< scan engine only
     metrics::MetricBatch::SlotId slot = -1;           ///< batched engine only
-    metrics::SpecHandle spec;                         ///< speculated probes only
     metrics::MetricKind metric = metrics::MetricKind::CpuTime;
     std::string focus_name;  ///< populated only while event tracing is on
     int selected_ranks = 0;

@@ -1,11 +1,11 @@
 // Fixed-size worker pool shared by the parallel subsystems: the variant
-// runner (whole diagnoses in parallel) and the Performance Consultant's
-// speculative search (pre-evaluation of likely refinement candidates).
+// runner (whole diagnoses in parallel), `histpc serve`'s request workers
+// and `migrate --jobs`.
 //
 // Deliberately minimal: a bounded set of threads draining a FIFO queue of
 // void() tasks. There is no future/promise layer — callers that need a
-// result publish it through their own synchronized structure (e.g.
-// metrics::SpecGroup) and either wait on that structure or on wait_idle().
+// result publish it through their own synchronized structure (e.g. a
+// per-task output slot) and either wait on that structure or on wait_idle().
 // Tasks must not throw; wrap fallible work in try/catch and stash the
 // exception (variant_runner keeps a per-variant std::exception_ptr).
 #pragma once

@@ -4,9 +4,12 @@
 #include <sstream>
 #include <vector>
 
+#include "apps/apps.h"
 #include "cli/args.h"
 #include "cli/commands.h"
 #include "history/store.h"
+#include "metrics/trace_view.h"
+#include "pc/consultant.h"
 #include "telemetry/event.h"
 #include "telemetry/perf_record.h"
 #include "util/json.h"
@@ -236,12 +239,25 @@ TEST_F(CliTest, VariantsUsesTheTraceCache) {
 }
 
 TEST_F(CliTest, DotExportWritesFile) {
+  // --dot renders the SHG of the search `run` reported, not of a second
+  // search: the file equals to_dot() of one standalone consultant run over
+  // the same trace with the same config.
   const std::string dot_file = store_dir_ + "/shg.dot";
   fs::create_directories(store_dir_);
-  run("run", {"bubba", "--duration", "300", "--dot", dot_file});
+  run("run", {"bubba", "--duration", "300", "--threshold", "0.15", "--dot", dot_file});
   ASSERT_TRUE(fs::exists(dot_file));
   const std::string dot = histpc::util::read_file(dot_file);
   EXPECT_NE(dot.find("digraph shg"), std::string::npos);
+
+  apps::AppParams params;
+  params.target_duration = 300.0;
+  const simmpi::ExecutionTrace trace = apps::run_app("bubba", params);
+  const metrics::TraceView view(trace);
+  pc::PcConfig config;
+  config.threshold_override = 0.15;
+  pc::PerformanceConsultant consultant(view, config);
+  consultant.run();
+  EXPECT_EQ(dot, consultant.shg().to_dot());
 }
 
 TEST_F(CliTest, ErrorsSurfaceAsExceptions) {
