@@ -15,9 +15,11 @@ int main() {
   apps::AppParams params;
   params.target_duration = 1200.0;
   core::DiagnosisSession session("bubba", params);
-  const pc::DiagnosisResult result = session.diagnose();
+  std::string shg;
+  const pc::DiagnosisResult result =
+      session.diagnose({}, [&](const pc::SearchHistoryGraph& g) { shg = g.render(); });
 
-  std::printf("%s\n", session.last_shg().c_str());
+  std::printf("%s\n", shg.c_str());
   std::printf("search: %zu pairs tested, %zu true\n\n", result.stats.pairs_tested,
               result.stats.bottlenecks);
   std::printf(

@@ -13,14 +13,13 @@
 #include <chrono>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string_view>
 #include <thread>
 
 #include "apps/apps.h"
 #include "apps/workload_spec.h"
 #include "bench_common.h"
-#include "metrics/block_index.h"
-#include "util/cpu_features.h"
 #include "core/session.h"
 #include "core/variant_runner.h"
 #include "history/combiner.h"
@@ -171,77 +170,6 @@ void BM_MetricBatchedTicks(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricBatchedTicks);
 
-// ------------------------------------------------ block-max benchmarks
-
-/// Large phase-clustered trace for the block-skip benchmarks: eight
-/// phases, each running its own function over many tiny compute/exchange
-/// rounds, with one hot message tag shared by every phase. A query
-/// constrained to one phase's function AND the Message sync objects is the
-/// interval index's worst case (scalar walk over every Message posting
-/// with a per-interval function check) while the block summaries prove 7/8
-/// of the blocks function-free and skip them outright.
-const simmpi::ExecutionTrace& blockskip_trace() {
-  static simmpi::ExecutionTrace trace = [] {
-    constexpr int kPhases = 8;
-    constexpr int kRoundsPerPhase = 1500;
-    simmpi::MachineSpec m = simmpi::MachineSpec::one_to_one(4, "node", "proc");
-    simmpi::ProgramBuilder b(m);
-    b.record([&](simmpi::Recorder& r) {
-      simmpi::FunctionScope fmain(r, "main", "main.c");
-      for (int ph = 0; ph < kPhases; ++ph) {
-        simmpi::FunctionScope scope(r, "phase" + std::to_string(ph), "phases.c");
-        for (int round = 0; round < kRoundsPerPhase; ++round) {
-          // Senders compute twice as long as receivers, so every recv
-          // genuinely blocks and the Message posting lists carry real
-          // SyncWait time for the interval index to walk.
-          r.compute(r.rank() % 2 == 0 ? 0.002 : 0.001);
-          if (r.rank() % 2 == 0 && r.rank() + 1 < r.size())
-            r.send(r.rank() + 1, /*tag=*/1, 1 << 10);
-          else if (r.rank() % 2 == 1)
-            r.recv(r.rank() - 1, /*tag=*/1);
-        }
-      }
-    });
-    return simmpi::Simulator().run(b.build());
-  }();
-  return trace;
-}
-
-const metrics::TraceView& blockskip_view() {
-  static metrics::TraceView view(blockskip_trace());
-  return view;
-}
-
-/// Phase-0 sync waits: the block-skip target query described above.
-const metrics::FocusFilter& blockskip_filter() {
-  const auto& view = blockskip_view();
-  return view.compiled(resources::Focus::whole_program(view.resources())
-                           .with_part(0, "/Code/phases.c/phase0")
-                           .with_part(3, "/SyncObject/Message"));
-}
-
-void BM_BlockMaxPhaseQuery(benchmark::State& state) {
-  const auto& view = blockskip_view();
-  const auto& filter = blockskip_filter();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.query_blocks(metrics::MetricKind::SyncWaitTime, filter,
-                                               0.0, view.trace().duration));
-  }
-}
-BENCHMARK(BM_BlockMaxPhaseQuery);
-
-void BM_BlockMaxPhaseQueryIndexedOracle(benchmark::State& state) {
-  // The same query through the interval index; the ratio to the benchmark
-  // above is the block-skipping speedup.
-  const auto& view = blockskip_view();
-  const auto& filter = blockskip_filter();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.query(metrics::MetricKind::SyncWaitTime, filter, 0.0,
-                                        view.trace().duration));
-  }
-}
-BENCHMARK(BM_BlockMaxPhaseQueryIndexedOracle);
-
 void BM_FocusRefinement(benchmark::State& state) {
   const auto& view = shared_view();
   const auto whole = resources::Focus::whole_program(view.resources());
@@ -310,15 +238,16 @@ BENCHMARK(BM_FocusOpsInterned);
 void BM_ShgInsertAndDedup(benchmark::State& state) {
   const auto& view = shared_view();
   const pc::HypothesisSet hyps = pc::HypothesisSet::standard();
-  const auto whole = resources::Focus::whole_program(view.resources());
-  const auto children = whole.refinements(view.resources());
+  auto& table = view.foci();
+  const resources::FocusId whole = table.whole_program();
+  const std::vector<resources::FocusId>& children = table.refinements(whole);
   for (auto _ : state) {
-    pc::SearchHistoryGraph shg(hyps);
+    pc::SearchHistoryGraph shg(hyps, table);
     for (int hyp = 0; hyp < 3; ++hyp) {
       int parent = shg.add_node(hyp, whole, shg.root(), 0.0);
-      for (const auto& child : children) shg.add_node(hyp, child, parent, 1.0);
+      for (resources::FocusId child : children) shg.add_node(hyp, child, parent, 1.0);
       // Second pass: every add is a dedup hit.
-      for (const auto& child : children) shg.add_node(hyp, child, parent, 2.0);
+      for (resources::FocusId child : children) shg.add_node(hyp, child, parent, 2.0);
     }
     benchmark::DoNotOptimize(shg.size());
   }
@@ -364,17 +293,35 @@ pc::DirectiveSet synthetic_directives(int n) {
   return set;
 }
 
+/// The resources and hypotheses synthetic_directives(n) and its queries
+/// name, with a FocusTable the DirectiveIndex is built against.
+struct DirectiveLookupWorld {
+  resources::ResourceDb db;
+  pc::HypothesisSet hyps;
+  std::unique_ptr<resources::FocusTable> table;
+
+  explicit DirectiveLookupWorld(int n) : db(resources::ResourceDb::with_standard_hierarchies()) {
+    for (int m = 0; m < n + 64; ++m)
+      db.add_resource("/Code/mod" + std::to_string(m) + ".f/solve");
+    for (int h = 0; h < 16; ++h)
+      hyps.add({"Hypothesis" + std::to_string(h), metrics::MetricKind::CpuTime, 0.20, false,
+                {}, ""});
+    table = std::make_unique<resources::FocusTable>(db);
+  }
+};
+
 struct DirectiveLookupQuery {
+  int hyp;  ///< index into DirectiveLookupWorld::hyps
   std::string hypothesis;
   resources::Focus focus;
   std::string focus_name;
+  resources::FocusId fid;
 };
 
 /// 64 queries mixing prune/priority hits and misses against
 /// synthetic_directives(n).
-std::vector<DirectiveLookupQuery> synthetic_lookup_queries(int n) {
-  const auto& view = shared_view();
-  const auto whole = resources::Focus::whole_program(view.resources());
+std::vector<DirectiveLookupQuery> synthetic_lookup_queries(int n, DirectiveLookupWorld& world) {
+  const auto whole = resources::Focus::whole_program(world.db);
   std::vector<DirectiveLookupQuery> out;
   for (int i = 0; i < 64; ++i) {
     // Even queries land inside the directive module range (hits), odd ones
@@ -382,7 +329,9 @@ std::vector<DirectiveLookupQuery> synthetic_lookup_queries(int n) {
     const int m = i % 2 == 0 ? (i * 7) % std::max(n, 1) : n + i;
     auto focus = whole.with_part(0, "/Code/mod" + std::to_string(m) + ".f/solve");
     std::string name = focus.name();
-    out.push_back({"Hypothesis" + std::to_string(i % 16), std::move(focus), std::move(name)});
+    const resources::FocusId fid = world.table->intern(focus);
+    out.push_back({i % 16, "Hypothesis" + std::to_string(i % 16), std::move(focus),
+                   std::move(name), fid});
   }
   return out;
 }
@@ -391,7 +340,8 @@ void BM_DirectiveLookupScan(benchmark::State& state) {
   // The retained oracle: per-candidate linear scans over the directives.
   const int n = static_cast<int>(state.range(0));
   const pc::DirectiveSet set = synthetic_directives(n);
-  const auto queries = synthetic_lookup_queries(n);
+  DirectiveLookupWorld world(n);
+  const auto queries = synthetic_lookup_queries(n, world);
   std::size_t qi = 0;
   for (auto _ : state) {
     const DirectiveLookupQuery& q = queries[qi];
@@ -406,18 +356,20 @@ BENCHMARK(BM_DirectiveLookupScan)->Arg(128)->Arg(1024)->Arg(4096);
 
 void BM_DirectiveLookupIndexed(benchmark::State& state) {
   // Same queries through the DirectiveIndex, built once outside the loop
-  // exactly as the consultant builds it after apply_mappings().
+  // exactly as the consultant builds it after apply_mappings(), and asked
+  // by (hypothesis index, FocusId) as the search asks it.
   const int n = static_cast<int>(state.range(0));
   const pc::DirectiveSet set = synthetic_directives(n);
-  const pc::DirectiveIndex index(set);
-  const auto queries = synthetic_lookup_queries(n);
+  DirectiveLookupWorld world(n);
+  const pc::DirectiveIndex index(set, *world.table, world.hyps);
+  const auto queries = synthetic_lookup_queries(n, world);
   std::size_t qi = 0;
   for (auto _ : state) {
     const DirectiveLookupQuery& q = queries[qi];
     qi = (qi + 1) % queries.size();
-    benchmark::DoNotOptimize(index.prune_match(q.hypothesis, q.focus));
-    benchmark::DoNotOptimize(index.priority_of(q.hypothesis, q.focus_name));
-    benchmark::DoNotOptimize(index.threshold_for(q.hypothesis));
+    benchmark::DoNotOptimize(index.prune_match(q.hyp, q.fid));
+    benchmark::DoNotOptimize(index.priority_of(q.hyp, q.fid));
+    benchmark::DoNotOptimize(index.threshold_for(q.hyp));
   }
   state.counters["directives"] = static_cast<double>(n);
 }
@@ -446,31 +398,6 @@ void BM_FullDiagnosisTraced(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDiagnosisTraced);
-
-void BM_FullDiagnosisScanEval(benchmark::State& state) {
-  // Same search with the reference per-instance scan engine.
-  const auto& view = shared_view();
-  pc::PcConfig config;
-  config.batched_eval = false;
-  for (auto _ : state) {
-    pc::PerformanceConsultant consultant(view, config);
-    benchmark::DoNotOptimize(consultant.run());
-  }
-}
-BENCHMARK(BM_FullDiagnosisScanEval);
-
-void BM_FullDiagnosisStringFoci(benchmark::State& state) {
-  // Same search on the retained string-based focus path (the oracle mode
-  // the interned search is property-tested against).
-  const auto& view = shared_view();
-  pc::PcConfig config;
-  config.interned_foci = false;
-  for (auto _ : state) {
-    pc::PerformanceConsultant consultant(view, config);
-    benchmark::DoNotOptimize(consultant.run());
-  }
-}
-BENCHMARK(BM_FullDiagnosisStringFoci);
 
 void BM_WildcardFarmSimulation(benchmark::State& state) {
   apps::AppParams p;
@@ -709,71 +636,13 @@ void write_bench_metrics(bool quick) {
     out["parallel_variants"] = std::move(pv);
   }
 
-  // Block-max engine on the large phase-clustered trace: the sync+func
-  // constrained query where the interval index degrades to a scalar
-  // posting walk. Reports ns/query for all three evaluation tiers, the
-  // fraction of interior blocks the summaries skipped, and the SIMD lane
-  // width the kernels dispatched to.
-  double blockskip_block_ns = 0.0, blockskip_indexed_ns = 0.0, blockskip_ratio = 0.0;
-  {
-    const auto& bview = blockskip_view();
-    const auto& bfilter = blockskip_filter();
-    const double bdur = bview.trace().duration;
-    const auto bmetric = metrics::MetricKind::SyncWaitTime;
-
-    const auto stats_before = bview.blocks().stats();
-    const double probe = bview.query_blocks(bmetric, bfilter, 0.0, bdur);
-    const auto stats_after = bview.blocks().stats();
-    const double visited =
-        static_cast<double>(stats_after.blocks_visited - stats_before.blocks_visited);
-    const double skipped =
-        static_cast<double>(stats_after.blocks_skipped - stats_before.blocks_skipped);
-
-    const double block_ns = time_ns_per_call_sampled(
-        reg, "bench.block_skip",
-        [&] { benchmark::DoNotOptimize(bview.query_blocks(bmetric, bfilter, 0.0, bdur)); },
-        budget);
-    const double bindexed_ns = time_ns_per_call(
-        [&] { benchmark::DoNotOptimize(bview.query(bmetric, bfilter, 0.0, bdur)); },
-        budget);
-    const double bscan_ns = time_ns_per_call(
-        [&] { benchmark::DoNotOptimize(bview.query_scan(bmetric, bfilter, 0.0, bdur)); },
-        budget);
-
-    const util::CpuFeatures& cpu = util::cpu_features();
-    const double lanes = cpu.selected == util::SimdLevel::Avx2
-                             ? 4.0
-                             : (cpu.selected == util::SimdLevel::Sse42 ? 2.0 : 1.0);
-
-    util::Json bs = util::Json::object();
-    bs["intervals"] = static_cast<double>(bview.trace().total_intervals());
-    bs["block_size"] = static_cast<double>(bview.blocks().block_size());
-    bs["simd_level"] = std::string(util::simd_level_name(cpu.selected));
-    bs["simd_lane_width"] = lanes;
-    bs["query_value"] = probe;
-    bs["block_ns_per_query"] = block_ns;
-    bs["indexed_ns_per_query"] = bindexed_ns;
-    bs["scan_ns_per_query"] = bscan_ns;
-    bs["speedup_vs_indexed"] = block_ns > 0 ? bindexed_ns / block_ns : 0.0;
-    bs["speedup_vs_scan"] = block_ns > 0 ? bscan_ns / block_ns : 0.0;
-    bs["blocks_skipped_ratio"] = visited > 0 ? skipped / visited : 0.0;
-    {
-      const telemetry::Histogram* h = reg.histogram("bench.block_skip");
-      bs["p50_ns_per_query"] = h ? h->quantile(0.5) * 1e9 : 0.0;
-      bs["p99_ns_per_query"] = h ? h->quantile(0.99) * 1e9 : 0.0;
-    }
-    out["block_skip"] = std::move(bs);
-    blockskip_block_ns = block_ns;
-    blockskip_indexed_ns = bindexed_ns;
-    blockskip_ratio = visited > 0 ? skipped / visited : 0.0;
-  }
-
   // Directive lookup: scan oracle vs DirectiveIndex on a harvested-scale
   // set (the acceptance bar is >=10x at >=1000 directives).
   const int n_directives = 1024;
   const pc::DirectiveSet dir_set = synthetic_directives(n_directives);
-  const pc::DirectiveIndex dir_index(dir_set);
-  const auto dir_queries = synthetic_lookup_queries(n_directives);
+  DirectiveLookupWorld dir_world(n_directives);
+  const pc::DirectiveIndex dir_index(dir_set, *dir_world.table, dir_world.hyps);
+  const auto dir_queries = synthetic_lookup_queries(n_directives, dir_world);
   std::size_t dir_qi = 0;
   auto next_query = [&]() -> const DirectiveLookupQuery& {
     const DirectiveLookupQuery& q = dir_queries[dir_qi];
@@ -788,9 +657,9 @@ void write_bench_metrics(bool quick) {
   });
   const double dir_indexed_ns = time_ns_per_call([&] {
     const DirectiveLookupQuery& q = next_query();
-    benchmark::DoNotOptimize(dir_index.prune_match(q.hypothesis, q.focus));
-    benchmark::DoNotOptimize(dir_index.priority_of(q.hypothesis, q.focus_name));
-    benchmark::DoNotOptimize(dir_index.threshold_for(q.hypothesis));
+    benchmark::DoNotOptimize(dir_index.prune_match(q.hyp, q.fid));
+    benchmark::DoNotOptimize(dir_index.priority_of(q.hyp, q.fid));
+    benchmark::DoNotOptimize(dir_index.threshold_for(q.hyp));
   });
   util::Json lookup = util::Json::object();
   lookup["directives"] = static_cast<double>(n_directives);
@@ -1012,17 +881,13 @@ void write_bench_metrics(bool quick) {
     std::printf("appended perf record to %s\n", log.path().c_str());
   }
   std::printf("wrote %s: metric query %.0f ns indexed / %.0f ns scan (%.1fx), "
-              "block skip %.0f ns block-max / %.0f ns indexed (%.1fx, %.0f%% skipped), "
               "directive lookup %.0f ns indexed / %.0f ns scan (%.1fx @ %d directives), "
               "focus ops %.0f ns string / %.0f ns interned (%.1fx), "
               "variants %.3f s sequential / %.3f s on %d workers, "
               "trace snapshot %.2f ms simulate / %.2f ms warm load (%.0fx), "
               "table1 workload %.3f s\n",
               bench::kBenchMetricsPath, indexed_ns, scan_ns,
-              scan_ns > 0 ? scan_ns / indexed_ns : 0.0, blockskip_block_ns,
-              blockskip_indexed_ns,
-              blockskip_block_ns > 0 ? blockskip_indexed_ns / blockskip_block_ns : 0.0,
-              blockskip_ratio * 100.0, dir_indexed_ns, dir_scan_ns,
+              scan_ns > 0 ? scan_ns / indexed_ns : 0.0, dir_indexed_ns, dir_scan_ns,
               dir_indexed_ns > 0 ? dir_scan_ns / dir_indexed_ns : 0.0, n_directives,
               intern_string_ns, intern_id_ns,
               intern_id_ns > 0 ? intern_string_ns / intern_id_ns : 0.0, variants_seq_s,

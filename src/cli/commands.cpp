@@ -190,9 +190,16 @@ int cmd_run(const Args& args, std::ostream& out) {
     out << "(postmortem evaluation over the complete execution)\n";
   } else {
     const auto dot = args.option("dot");
-    std::string dot_text;
-    result = session.diagnose(directives, dot ? &dot_text : nullptr);
-    if (args.has_flag("shg")) out << "\n" << session.last_shg() << "\n";
+    const bool want_shg = args.has_flag("shg");
+    std::string shg_text, dot_text;
+    core::DiagnosisSession::ShgHook on_shg;
+    if (want_shg || dot)
+      on_shg = [&](const pc::SearchHistoryGraph& shg) {
+        if (want_shg) shg_text = shg.render();
+        if (dot) dot_text = shg.to_dot();
+      };
+    result = session.diagnose(directives, on_shg);
+    if (want_shg) out << "\n" << shg_text << "\n";
     if (dot) {
       util::write_file(*dot, dot_text);
       out << "wrote " << *dot << "\n";
@@ -236,7 +243,6 @@ int cmd_run(const Args& args, std::ostream& out) {
 int cmd_variants(const Args& args, std::ostream& out) {
   pc::PcConfig config;
   config.threshold_override = args.option_or("threshold", -1.0);
-  if (args.has_flag("string-foci")) config.interned_foci = false;
 
   auto session_ptr = make_session(args, config, 1500.0);
   core::DiagnosisSession& session = *session_ptr;
@@ -566,8 +572,12 @@ int cmd_diagnose_trace(const Args& args, std::ostream& out) {
   if (trace_path) config.trace_sink = &event_sink;
 
   core::DiagnosisSession session(simmpi::load_trace(path), config);
-  const pc::DiagnosisResult result = session.diagnose(directives);
-  if (args.has_flag("shg")) out << session.last_shg() << "\n";
+  std::string shg_text;
+  core::DiagnosisSession::ShgHook on_shg;
+  if (args.has_flag("shg"))
+    on_shg = [&](const pc::SearchHistoryGraph& shg) { shg_text = shg.render(); };
+  const pc::DiagnosisResult result = session.diagnose(directives, on_shg);
+  if (on_shg) out << shg_text << "\n";
   print_result_summary(out, result);
   if (trace_path) {
     telemetry::save_trace_file(*trace_path, event_sink.events(), trace_format);
@@ -838,7 +848,7 @@ const Command kCommands[] = {
     {"variants",
      cmd_variants,
      {"duration", "node-base", "workload", "threads", "threshold", "version", "trace-cache"},
-     {"string-foci", "no-trace-cache"}},
+     {"no-trace-cache"}},
     {"list", cmd_list, {"store", "app", "version", "machine", "scenario"}, {}},
     {"migrate", cmd_migrate, {"store", "jobs"}, {}},
     {"serve",

@@ -9,7 +9,7 @@
 //                    [--trace-cache DIR] [--no-trace-cache] [--perf-log FILE]
 //   histpc report <app|--workload FILE> [--duration S] [--bins N]
 //   histpc variants <app|--workload FILE> [--duration S] [--node-base N]
-//                    [--threads N] [--threshold F] [--version V] [--string-foci]
+//                    [--threads N] [--threshold F] [--version V]
 //                    [--trace-cache DIR] [--no-trace-cache]
 //   histpc list [--store DIR] [--app NAME] [--version V]
 //   histpc show <run_id> [--store DIR] [--report]

@@ -58,15 +58,14 @@ DiagnosisSession::DiagnosisSession(simmpi::ExecutionTrace trace, pc::PcConfig co
 }
 
 pc::DiagnosisResult DiagnosisSession::diagnose(const pc::DirectiveSet& directives,
-                                               std::string* dot) {
+                                               const ShgHook& on_shg) {
   pc::PerformanceConsultant consultant(*view_, config_, directives);
   pc::DiagnosisResult result;
   {
     telemetry::ScopedTimer timer(registry_, "session.diagnose");
     result = consultant.run();
   }
-  last_shg_ = consultant.shg().render();
-  if (dot) *dot = consultant.shg().to_dot();
+  if (on_shg) on_shg(consultant.shg());
   // Fold the consultant's registry (pc.* counters/timers and their lap
   // histograms) into the session's, so registry() — and any PerfRecord
   // made from it — covers the whole run, not just the session phases.
@@ -96,8 +95,6 @@ telemetry::PerfRecord DiagnosisSession::make_perf_record(const std::string& vers
   rec.build = telemetry::build_id();
   rec.config["threshold_override"] = std::to_string(config_.threshold_override);
   rec.config["cost_limit"] = std::to_string(config_.cost_limit);
-  rec.config["batched_eval"] = config_.batched_eval ? "1" : "0";
-  rec.config["interned_foci"] = config_.interned_foci ? "1" : "0";
   rec.config["trace_cache"] = config_.trace_cache_dir.empty() ? "0" : "1";
   rec.registry = registry_;
   return rec;

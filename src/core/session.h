@@ -19,6 +19,7 @@
 //   auto directed = s2.diagnose(directives);          // fast, focused
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -49,15 +50,16 @@ class DiagnosisSession {
   const pc::PcConfig& config() const { return config_; }
   pc::PcConfig& config() { return config_; }
 
-  /// Run the Performance Consultant over this execution. Each call is an
-  /// independent online search (fresh instrumentation). When `dot` is
-  /// non-null it receives this search's SHG as Graphviz
-  /// (SearchHistoryGraph::to_dot); it is rendered only when asked for.
-  pc::DiagnosisResult diagnose(const pc::DirectiveSet& directives = {},
-                               std::string* dot = nullptr);
+  /// Called with the finished search's graph, before the consultant that
+  /// owns it goes away: the place to render it (Figure 2's
+  /// SearchHistoryGraph::render, or to_dot for Graphviz).
+  using ShgHook = std::function<void(const pc::SearchHistoryGraph&)>;
 
-  /// Figure 2-style rendering of the most recent diagnosis's SHG.
-  const std::string& last_shg() const { return last_shg_; }
+  /// Run the Performance Consultant over this execution. Each call is an
+  /// independent online search (fresh instrumentation). The SHG is shown
+  /// to `on_shg` when one is given and rendered only if it asks.
+  pc::DiagnosisResult diagnose(const pc::DirectiveSet& directives = {},
+                               const ShgHook& on_shg = {});
 
   /// Session-level wall-clock telemetry: "session.simulate",
   /// "session.view_build", "session.diagnose" timers — plus, when the
@@ -85,7 +87,6 @@ class DiagnosisSession {
   std::unique_ptr<simmpi::ExecutionTrace> trace_;
   std::unique_ptr<metrics::TraceView> view_;
   pc::PcConfig config_;
-  std::string last_shg_;
 };
 
 }  // namespace histpc::core

@@ -4,24 +4,18 @@
 // insertion latency), and the sum of active probe costs is the load the
 // Performance Consultant's expansion throttle watches.
 //
-// Two metric-evaluation engines service the probes:
-//  * batched (default): all probes share one MetricBatch — each rank's new
-//    intervals are visited once per advance and fanned out to every
-//    matching probe;
-//  * per-instance scan: one MetricInstance per probe, each walking its own
-//    cursors. Kept as the reference oracle; the batched engine is
-//    property-tested bit-identical against it.
+// All probes share one MetricBatch: each rank's new intervals are visited
+// once per advance and fanned out to every matching probe. The
+// per-instance scan (metrics::MetricInstance) is its property-tested
+// oracle.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "instr/cost_model.h"
 #include "metrics/metric_batch.h"
-#include "metrics/metric_instance.h"
 #include "telemetry/tracer.h"
 
 namespace histpc::instr {
@@ -36,13 +30,6 @@ struct ProbeSample {
   int selected_ranks = 0;
 };
 
-/// Metric-evaluation engine selection (PcConfig carries one of these).
-struct EvalConfig {
-  /// Batched engine (one interval pass fanned out to all probes) vs the
-  /// reference per-instance scan. Values are bit-identical.
-  bool batched = true;
-};
-
 class InstrumentationManager {
  public:
   /// `perturbation_factor` models the measurement error instrumentation
@@ -55,14 +42,12 @@ class InstrumentationManager {
   /// evaluation volume into the same registry. Null = no telemetry.
   InstrumentationManager(const metrics::TraceView& view, CostModel cost_model,
                          double insertion_latency, double perturbation_factor = 0.0,
-                         EvalConfig eval = {}, telemetry::Tracer* tracer = nullptr);
+                         telemetry::Tracer* tracer = nullptr);
 
-  /// Request insertion of a probe for (metric : focus) at time `now`. Data
-  /// collection begins at now + insertion latency.
-  ProbeId insert(metrics::MetricKind metric, const resources::Focus& focus, double now);
-
-  /// Id twin: the focus is an id in the view's FocusTable. No focus-name
-  /// string is built unless event tracing is on.
+  /// Request insertion of a probe for (metric : focus) at time `now`; the
+  /// focus is an id in the view's FocusTable. Data collection begins at
+  /// now + insertion latency. No focus-name string is built unless event
+  /// tracing is on.
   ProbeId insert(metrics::MetricKind metric, resources::FocusId focus, double now);
 
   /// Delete a probe, releasing its cost immediately.
@@ -77,8 +62,6 @@ class InstrumentationManager {
   ProbeSample read(ProbeId id) const;
 
   double probe_cost(ProbeId id) const;
-  /// Predicted cost of a probe that has not been inserted yet.
-  double predict_cost(metrics::MetricKind metric, const resources::Focus& focus) const;
 
   /// Sum of active probe costs (the expansion throttle input).
   double total_cost() const { return total_cost_; }
@@ -89,17 +72,10 @@ class InstrumentationManager {
   std::size_t num_active() const { return num_active_; }
 
   double insertion_latency() const { return insertion_latency_; }
-  const EvalConfig& eval_config() const { return eval_; }
 
  private:
-  /// Common insertion tail once the filter, cost, and (only-if-tracing)
-  /// focus name have been resolved by the string or id front end.
-  ProbeId insert_probe(metrics::MetricKind metric, const metrics::FocusFilter& filter,
-                       double cost, double now, std::string focus_name_if_tracing);
-
   struct Probe {
-    std::optional<metrics::MetricInstance> instance;  ///< scan engine only
-    metrics::MetricBatch::SlotId slot = -1;           ///< batched engine only
+    metrics::MetricBatch::SlotId slot = -1;
     metrics::MetricKind metric = metrics::MetricKind::CpuTime;
     std::string focus_name;  ///< populated only while event tracing is on
     int selected_ranks = 0;
@@ -112,9 +88,8 @@ class InstrumentationManager {
   CostModel cost_model_;
   double insertion_latency_;
   double perturbation_factor_;
-  EvalConfig eval_;
   telemetry::Tracer* tracer_ = nullptr;
-  std::unique_ptr<metrics::MetricBatch> batch_;
+  metrics::MetricBatch batch_;
   std::vector<Probe> probes_;
   double last_time_ = 0.0;  ///< most recent insert/advance time (for removals)
   double total_cost_ = 0.0;

@@ -130,13 +130,6 @@ void MetricBatch::advance_all(double to) {
     registry_->add("metrics.batch.intervals", consumed_after - consumed_before);
     registry_->add("metrics.batch.blocks_considered", bc.considered);
     registry_->add("metrics.batch.blocks_skipped", bc.skipped);
-    // Cumulative classification stats from the view's block-max tier
-    // (populated by query_blocks callers; the batch path skips only).
-    const BlockIndex::Stats bs = view_.blocks().stats();
-    registry_->gauge_set("metrics.blocks.summary_skips",
-                         static_cast<double>(bs.blocks_skipped));
-    registry_->gauge_set("metrics.blocks.simd_kernel_runs",
-                         static_cast<double>(bs.blocks_kernel));
   }
 }
 

@@ -253,11 +253,6 @@ double TraceView::query(MetricKind metric, const FocusFilter& filter, double t0,
   return index_->query(filter, metric, t0, t1);
 }
 
-double TraceView::query_blocks(MetricKind metric, const FocusFilter& filter, double t0,
-                               double t1) const {
-  return blocks_->query(filter, metric, t0, t1);
-}
-
 double TraceView::query_scan(MetricKind metric, const FocusFilter& filter, double t0,
                              double t1) const {
   MetricInstance inst(*this, metric, filter, t0);

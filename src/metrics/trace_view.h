@@ -43,8 +43,8 @@ struct FocusFilter {
   std::vector<std::int32_t> selected_funcs;  ///< accepted FuncIds when !all_funcs
   std::vector<std::int32_t> selected_syncs;  ///< accepted ids when !sync_unconstrained
 
-  /// Word-packed twins of the acceptance bitmaps for the block-max engine's
-  /// summary intersections: bit f of func_words mirrors funcs[f], and one
+  /// Word-packed twins of the acceptance bitmaps for the block summaries'
+  /// intersections: bit f of func_words mirrors funcs[f], and one
   /// extra trailing bit (index funcs.size()) mirrors accept_nofunc — the
   /// same slot layout BlockIndex uses for its per-block coverage words.
   /// sync_words is empty while sync_unconstrained.
@@ -84,9 +84,8 @@ class TraceView {
   const simmpi::ExecutionTrace& trace() const { return trace_; }
   const resources::ResourceDb& resources() const { return db_; }
   const IntervalIndex& index() const { return *index_; }
-  /// The block-max summary tier (block_index.h). MetricBatch consults its
-  /// per-block probes to skip provably-zero blocks; query_blocks() serves
-  /// whole windows through its skip/sum/SIMD-kernel classification.
+  /// The per-block skip summaries (block_index.h). MetricBatch consults
+  /// them to skip provably-zero blocks.
   const BlockIndex& blocks() const { return *blocks_; }
 
   /// The focus interner over this view's (immutable) resource db. Returned
@@ -120,14 +119,6 @@ class TraceView {
   /// Reference oracle: the same window query answered by a linear
   /// MetricInstance scan. Kept for property-testing the indexed path.
   double query_scan(MetricKind metric, const FocusFilter& filter, double t0, double t1) const;
-
-  /// The same window query answered by the block-max engine: skip blocks
-  /// the summaries prove empty, O(1)-accumulate fully-covered blocks, run
-  /// the SIMD masked-sum kernel over the rest. Agrees with query() and
-  /// query_scan() to floating-point summation order (property-tested in
-  /// block_max_test.cpp).
-  double query_blocks(MetricKind metric, const FocusFilter& filter, double t0,
-                      double t1) const;
 
   /// Fraction of execution: query(...) normalized by window * selected ranks.
   double fraction(MetricKind metric, const resources::Focus& focus, double t0, double t1) const;

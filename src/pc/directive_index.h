@@ -7,15 +7,16 @@
 // methods walk the full directive list per call, which on harvested sets
 // (hundreds to thousands of table1/table3-style directives) costs more
 // than the batched metric evaluation they gate. The index is built once —
-// the consultant constructs it right after apply_mappings() — and answers
-// the same three queries from hash maps and sorted prefix arrays.
+// the consultant constructs it right after apply_mappings() — compiled
+// against the view's FocusTable, and answers the same three queries by
+// (hypothesis index, FocusId) from bitmaps and hash sets.
 //
 // The DirectiveSet scans survive unchanged as the property-tested oracle
-// (tests/directive_index_test.cpp), mirroring the metric engine's
-// scan-vs-index pattern: for every (hypothesis, focus) query the index
-// returns exactly what the scan returns, including its tie-breaking rules
-// (first matching priority wins; first exact threshold wins, last wildcard
-// is the fallback).
+// (tests/directive_index_test.cpp): for every (hypothesis, focus) query
+// the index returns exactly what the scan returns on the hypothesis name
+// and canonical focus name, including its tie-breaking rules (first
+// matching priority wins; first exact threshold wins, last wildcard is the
+// fallback).
 #pragma once
 
 #include <cstdint>
@@ -53,67 +54,33 @@ class PrefixSet {
   std::vector<std::string> sorted_;
 };
 
-namespace detail {
-/// Transparent hashing so queries take string_views without materializing
-/// std::string keys.
-struct StringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct StringEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const { return a == b; }
-};
-}  // namespace detail
-
 class DirectiveIndex {
  public:
-  DirectiveIndex() = default;
-
-  /// Builds the index over `set`. The index holds copies of the directive
-  /// strings, not references: it stays valid if `set` is destroyed, but it
-  /// does NOT see later mutations — rebuild after changing the set (the
-  /// consultant builds it once, after apply_mappings()).
-  explicit DirectiveIndex(const DirectiveSet& set);
-
-  /// Same contract and result as DirectiveSet::prune_match.
-  DirectiveSet::PruneKind prune_match(std::string_view hypothesis,
-                                      const resources::Focus& focus) const;
-
-  bool is_pruned(std::string_view hypothesis, const resources::Focus& focus) const {
-    return prune_match(hypothesis, focus) != DirectiveSet::PruneKind::None;
-  }
-
-  /// Same contract and result as DirectiveSet::priority_of.
-  Priority priority_of(std::string_view hypothesis, std::string_view focus_name) const;
-
-  /// Same contract and result as DirectiveSet::threshold_for.
-  std::optional<double> threshold_for(std::string_view hypothesis) const;
-
-  /// Compile the directive strings against a focus table so the interned
-  /// search can query by (hypothesis index, FocusId) with no string work:
+  /// Compiles `set` against a focus table:
   ///  * subtree prunes become per-hierarchy coverage bitmaps over
   ///    ResourceIds (covered iff contains_prefix_of(full_name), roots
   ///    forced out — a root part is never pruned);
-  ///  * pair prunes and priorities become id-keyed maps. A directive focus
-  ///    string matches a real focus iff it parses and re-canonicalizes to
-  ///    itself (canonical names are injective), so non-canonical or
-  ///    unresolvable entries are provably unmatchable and dropped.
-  /// The table pointer is retained; it must outlive the index. Load-time
-  /// directive text keeps using the string_view lookups above.
-  void bind(resources::FocusTable& table, const HypothesisSet& hyps);
-  bool bound() const { return table_ != nullptr; }
+  ///  * pair prunes and priorities become id-keyed sets and maps. A
+  ///    directive focus string matches a real focus iff it parses and
+  ///    re-canonicalizes to itself (canonical names are injective), so
+  ///    non-canonical or unresolvable entries are provably unmatchable and
+  ///    dropped;
+  ///  * thresholds resolve once per hypothesis.
+  /// The index copies what it needs from `set`, so it does NOT see later
+  /// mutations (the consultant builds it once, after apply_mappings()).
+  /// The table is retained and must outlive the index.
+  DirectiveIndex(const DirectiveSet& set, resources::FocusTable& table,
+                 const HypothesisSet& hyps);
 
-  /// Id twins of prune_match / is_pruned / priority_of / threshold_for;
-  /// valid after bind(). Same results as the string lookups on the
-  /// corresponding hypothesis name and canonical focus name.
+  /// Same result as DirectiveSet::prune_match on the hypothesis name and
+  /// the focus's canonical name.
   DirectiveSet::PruneKind prune_match(int hyp, resources::FocusId focus) const;
   bool is_pruned(int hyp, resources::FocusId focus) const {
     return prune_match(hyp, focus) != DirectiveSet::PruneKind::None;
   }
+  /// Same result as DirectiveSet::priority_of.
   Priority priority_of(int hyp, resources::FocusId focus) const;
+  /// Same result as DirectiveSet::threshold_for.
   std::optional<double> threshold_for(int hyp) const {
     return threshold_by_hyp_.at(static_cast<std::size_t>(hyp));
   }
@@ -123,37 +90,13 @@ class DirectiveIndex {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hyp)) << 32) |
            static_cast<std::uint32_t>(focus);
   }
-  static std::string pair_key(std::string_view hypothesis, std::string_view focus);
-  /// Allocation-free lookup key over a reused thread-local buffer; the
-  /// returned view is invalidated by the next call on the same thread.
-  static std::string_view pair_key_view(std::string_view hypothesis,
-                                        std::string_view focus);
 
-  /// Subtree prunes, bucketed by hypothesis; "*" prunes live in their own
-  /// bucket checked for every hypothesis.
-  std::unordered_map<std::string, PrefixSet, detail::StringHash, detail::StringEq>
-      subtree_by_hyp_;
+  resources::FocusTable& table_;
+  /// Subtree prunes by hypothesis index; "*" prunes live in their own set
+  /// checked for every hypothesis. Kept for parts foreign to the table's
+  /// resource db, which have no coverage bit.
+  std::vector<PrefixSet> subtree_by_hyp_;
   PrefixSet subtree_any_;
-
-  /// Exact-pair prunes keyed on (hypothesis, focus name), with the
-  /// wildcard-hypothesis entries keyed on focus name alone.
-  std::unordered_set<std::string, detail::StringHash, detail::StringEq> pair_prunes_;
-  std::unordered_set<std::string, detail::StringHash, detail::StringEq> pair_prunes_any_;
-
-  /// First directive per (hypothesis, focus) wins, as in the scan.
-  std::unordered_map<std::string, Priority, detail::StringHash, detail::StringEq>
-      priorities_;
-
-  /// First directive per hypothesis name (including a literal "*" key)
-  /// wins; threshold_any_ is the last wildcard, the scan's fallback value.
-  std::unordered_map<std::string, double, detail::StringHash, detail::StringEq>
-      thresholds_;
-  std::optional<double> threshold_any_;
-
-  // ---- id-keyed structures, populated by bind() ----
-  resources::FocusTable* table_ = nullptr;
-  /// Hypothesis names by index (for the foreign-part oracle fallback).
-  std::vector<std::string> hyp_names_;
   /// any_cover_[hier][rid]: rid lies under a wildcard-hypothesis subtree
   /// prune (roots always 0). hyp_cover_[hyp] likewise per hypothesis
   /// (empty vector = no subtree prunes for that hypothesis).
@@ -161,6 +104,7 @@ class DirectiveIndex {
   std::vector<std::vector<std::vector<std::uint8_t>>> hyp_cover_;
   std::unordered_set<std::uint64_t> id_pair_prunes_;
   std::unordered_set<resources::FocusId> id_pair_prunes_any_;
+  /// First directive per (hypothesis, focus) wins, as in the scan.
   std::unordered_map<std::uint64_t, Priority> id_priorities_;
   std::vector<std::optional<double>> threshold_by_hyp_;
 };

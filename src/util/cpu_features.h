@@ -1,10 +1,9 @@
-// Runtime CPU-feature detection shared by every SIMD dispatch site.
+// Runtime CPU-feature detection for SIMD dispatch.
 //
-// The CRC-32C lanes in simmpi/trace_snapshot and the block-max metric
-// kernels in metrics/block_index both pick between scalar, SSE4.2, and
-// AVX2 code paths at runtime. This helper centralizes the probing (one
-// CPUID-backed query, cached for the process) so every site agrees on the
-// selected lanes and on the override knobs:
+// The CRC-32C checksum (util/crc32c) behind the binary trace and
+// experiment snapshots picks between its SSE4.2 and scalar code paths at
+// runtime. This helper holds the probing (one CPUID-backed query, cached
+// for the process) and the override knobs:
 //
 //  * compile time: building with -DHISTPC_ENABLE_SIMD=OFF removes every
 //    intrinsic code path, and cpu_features() reports Scalar;
@@ -13,7 +12,7 @@
 //    scalar-fallback leg).
 //
 // The first call logs one Info line naming the detected and selected
-// lanes, so a diagnosis log always records which kernels produced it.
+// lanes, so a log always records which code paths were in use.
 #pragma once
 
 namespace histpc::util {

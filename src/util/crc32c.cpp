@@ -141,8 +141,8 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(const char* p, std::si
 
 std::uint32_t crc32c(std::string_view bytes) {
 #ifdef HISTPC_HAVE_HW_CRC32C
-  // Shared runtime dispatch (util/cpu_features): the same probe the metric
-  // kernels use, so HISTPC_NO_SIMD / HISTPC_SIMD also steer the CRC path.
+  // Runtime dispatch through util/cpu_features, so HISTPC_NO_SIMD /
+  // HISTPC_SIMD steer the CRC path.
   static const bool hw = cpu_features().selected >= SimdLevel::Sse42;
   if (hw) return crc32c_hw(bytes.data(), bytes.size(), 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
 #endif

@@ -1,33 +1,24 @@
-// Property and unit tests for the block-max metric engine (BlockIndex +
-// the SIMD masked-sum kernels + MetricBatch's block-skip fast path).
+// Property and unit tests for the block skip summaries (BlockIndex) and
+// MetricBatch's block-skip fast path.
 //
-//  * query_blocks must agree with the interval index and the linear-scan
-//    oracle on every trace, focus, window, and block size — including
-//    block size 1, sizes that leave ragged tail blocks, and sizes larger
-//    than any rank's interval count (single-block);
-//  * the three SIMD dispatch levels (scalar / SSE4.2 / AVX2) must be
-//    bit-identical to each other — the kernels share one deterministic
-//    4-lane accumulation contract precisely so a forced-scalar fallback
-//    run reproduces the vectorized bits;
 //  * MetricBatch with block skipping stays bit-identical to the
-//    per-instance scan engine (the skip path elides only provably-zero
-//    work), and its telemetry records nonzero skips for narrow probes.
+//    per-instance scan (the skip path elides only provably-zero work), and
+//    its telemetry records nonzero skips for narrow probes;
+//  * the summaries are exact at one interval per block, cover a whole rank
+//    at one block per rank, and are the same whether built from the
+//    trace's intervals or from snapshot-decoded columns.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/session.h"
 #include "metrics/block_index.h"
 #include "metrics/metric_batch.h"
 #include "metrics/metric_instance.h"
-#include "metrics/simd_kernels.h"
 #include "metrics/trace_view.h"
 #include "simmpi/program.h"
 #include "simmpi/simulator.h"
 #include "telemetry/registry.h"
-#include "util/cpu_features.h"
 #include "util/rng.h"
 
 namespace histpc::metrics {
@@ -135,116 +126,6 @@ Focus random_focus(util::Rng& rng, const TraceView& view) {
   return f;
 }
 
-// ------------------------------------- block-max == index == scan (property)
-
-TEST(BlockMaxProperty, QueryMatchesIndexAndScanOracles) {
-  // Block sizes hit the edge shapes: per-interval (1), ragged tails (3, 7),
-  // the production default, and single-block (larger than any rank).
-  const std::size_t kBlockSizes[] = {1, 3, 7, BlockIndex::kDefaultBlockSize, 1u << 20};
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    util::Rng rng(seed);
-    const simmpi::ExecutionTrace trace = random_trace(rng);
-    ASSERT_NO_THROW(trace.validate());
-    const TraceView view(trace);
-    // unique_ptr elements: BlockIndex owns atomics, so it is immovable.
-    std::vector<std::unique_ptr<BlockIndex>> indexes;
-    for (std::size_t bs : kBlockSizes)
-      indexes.push_back(std::make_unique<BlockIndex>(trace, nullptr, bs));
-
-    for (int i = 0; i < 25; ++i) {
-      const Focus focus = random_focus(rng, view);
-      const FocusFilter& filter = view.compiled(focus);
-      double t0 = rng.uniform(-0.5, trace.duration + 0.5);
-      double t1 = rng.uniform(-0.5, trace.duration + 0.5);
-      if (t1 < t0) std::swap(t0, t1);
-      for (MetricKind metric : kAllMetrics) {
-        const double indexed = view.query(metric, filter, t0, t1);
-        const double scanned = view.query_scan(metric, filter, t0, t1);
-        const double viewed = view.query_blocks(metric, filter, t0, t1);
-        EXPECT_NEAR(viewed, indexed, 1e-9)
-            << "seed " << seed << " focus " << focus.name() << " metric "
-            << metric_name(metric) << " window [" << t0 << ", " << t1 << ")";
-        EXPECT_NEAR(viewed, scanned, 1e-9) << "seed " << seed;
-        for (std::size_t bi = 0; bi < indexes.size(); ++bi) {
-          const double blocked = indexes[bi]->query(filter, metric, t0, t1);
-          EXPECT_NEAR(blocked, indexed, 1e-9)
-              << "seed " << seed << " block size " << kBlockSizes[bi] << " focus "
-              << focus.name() << " metric " << metric_name(metric) << " window ["
-              << t0 << ", " << t1 << ")";
-        }
-      }
-    }
-    // The summaries must actually have pruned work somewhere across the
-    // randomized workload (narrow foci exist by construction).
-    const BlockIndex::Stats s = indexes[0]->stats();
-    EXPECT_GT(s.blocks_visited, 0u);
-  }
-}
-
-// ------------------------- SIMD dispatch levels are bit-identical (property)
-
-TEST(BlockMaxProperty, SimdLevelsAreBitIdentical) {
-  const util::CpuFeatures& cpu = util::cpu_features();
-  std::vector<util::SimdLevel> levels = {util::SimdLevel::Scalar};
-  if (cpu.has_sse42) levels.push_back(util::SimdLevel::Sse42);
-  if (cpu.has_avx2) levels.push_back(util::SimdLevel::Avx2);
-  if (levels.size() == 1)
-    GTEST_LOG_(INFO) << "no vector units compiled/available; scalar-only run";
-
-  // Direct kernel check on adversarial lengths (0, tails of 1..3, longer).
-  util::Rng krng(7);
-  for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 15u, 64u, 1001u}) {
-    std::vector<double> a(n), b(n);
-    std::vector<std::uint8_t> state(n), mask0(n), maskl(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = krng.uniform(0.0, 100.0);
-      b[i] = a[i] + krng.uniform(0.0, 2.0);
-      state[i] = static_cast<std::uint8_t>(krng.next_below(3));
-    }
-    for (int pat = 0; pat < 8; ++pat) {
-      const bool acc[3] = {(pat & 1) != 0, (pat & 2) != 0, (pat & 4) != 0};
-      simd::build_state_mask(mask0.data(), state.data(), acc, n,
-                             util::SimdLevel::Scalar);
-      const double ref =
-          simd::masked_sum(a.data(), b.data(), mask0.data(), n, util::SimdLevel::Scalar);
-      for (util::SimdLevel level : levels) {
-        simd::build_state_mask(maskl.data(), state.data(), acc, n, level);
-        EXPECT_EQ(mask0, maskl) << "n=" << n << " pat=" << pat;
-        EXPECT_DOUBLE_EQ(ref,
-                         simd::masked_sum(a.data(), b.data(), maskl.data(), n, level))
-            << "n=" << n << " pat=" << pat << " level " << util::simd_level_name(level);
-      }
-    }
-  }
-
-  // Whole-query check: a BlockIndex forced to each level returns the exact
-  // bits of the forced-scalar one (the scalar-fallback variant of the
-  // acceptance criteria).
-  for (std::uint64_t seed = 31; seed <= 33; ++seed) {
-    util::Rng rng(seed);
-    const simmpi::ExecutionTrace trace = random_trace(rng);
-    const TraceView view(trace);
-    std::vector<std::unique_ptr<BlockIndex>> forced;
-    for (util::SimdLevel level : levels)
-      forced.push_back(std::make_unique<BlockIndex>(trace, nullptr, std::size_t{16}, level));
-    for (int i = 0; i < 20; ++i) {
-      const Focus focus = random_focus(rng, view);
-      const FocusFilter& filter = view.compiled(focus);
-      double t0 = rng.uniform(-0.5, trace.duration + 0.5);
-      double t1 = rng.uniform(-0.5, trace.duration + 0.5);
-      if (t1 < t0) std::swap(t0, t1);
-      for (MetricKind metric : kAllMetrics) {
-        const double scalar = forced[0]->query(filter, metric, t0, t1);
-        for (std::size_t li = 1; li < forced.size(); ++li)
-          EXPECT_DOUBLE_EQ(scalar, forced[li]->query(filter, metric, t0, t1))
-              << "seed " << seed << " level "
-              << util::simd_level_name(forced[li]->simd_level()) << " metric "
-              << metric_name(metric);
-      }
-    }
-  }
-}
-
 // --------------------- batch skip path == per-instance scan (bit-identical)
 
 TEST(BlockMaxProperty, BatchWithBlockSkippingIsBitIdenticalToInstances) {
@@ -331,50 +212,61 @@ class BlockMaxUnit : public testing::Test {
   TraceView view_;
 };
 
-TEST_F(BlockMaxUnit, WindowInsideOneIntervalStraddlesBothEnds) {
-  Focus f = Focus::whole_program(view_.resources()).with_part(0, "/Code/kern.c/kernel");
-  const FocusFilter& filter = view_.compiled(f);
-  EXPECT_NEAR(view_.query_blocks(MetricKind::CpuTime, filter, 0.5, 1.25), 0.75, 1e-12);
-  EXPECT_DOUBLE_EQ(view_.query_blocks(MetricKind::CpuTime, filter, 0.5, 1.25),
-                   view_.query_scan(MetricKind::CpuTime, filter, 0.5, 1.25));
-}
-
-TEST_F(BlockMaxUnit, ZeroWidthAndOutOfRangeWindowsAreZero) {
-  const FocusFilter& filter = view_.compiled(Focus::whole_program(view_.resources()));
-  for (MetricKind metric : kAllMetrics) {
-    EXPECT_DOUBLE_EQ(view_.query_blocks(metric, filter, 1.0, 1.0), 0.0);
-    EXPECT_DOUBLE_EQ(view_.query_blocks(metric, filter, -5.0, -1.0), 0.0);
-    EXPECT_DOUBLE_EQ(view_.query_blocks(metric, filter, trace_.duration + 1.0,
-                                        trace_.duration + 2.0),
-                     0.0);
-  }
+/// Foci over small_trace() spanning every filter shape the summaries test:
+/// unconstrained, one function, one rank, and one sync object.
+std::vector<Focus> unit_foci(const TraceView& view) {
+  const Focus whole = Focus::whole_program(view.resources());
+  std::vector<Focus> foci = {whole, whole.with_part(0, "/Code/kern.c/kernel"),
+                             whole.with_part(2, "/Process/proc:2")};
+  for (const std::string& so : view.trace().sync_objects)
+    foci.push_back(whole.with_part(3, "/SyncObject/" + so));
+  return foci;
 }
 
 TEST_F(BlockMaxUnit, SingleBlockCoversWholeTrace) {
   // Block size far larger than any rank's interval count: one block per
-  // rank; full-window queries exercise the fully-covered SUM path.
+  // rank, ending at the rank's last interval.
   BlockIndex one_block(trace_, nullptr, 1u << 20);
-  ASSERT_EQ(one_block.num_blocks(0), 1u);
   const FocusFilter& filter = view_.compiled(Focus::whole_program(view_.resources()));
-  for (MetricKind metric : kAllMetrics)
-    EXPECT_NEAR(one_block.query(filter, metric, -1.0, trace_.duration + 1.0),
-                view_.query(metric, filter, -1.0, trace_.duration + 1.0), 1e-9);
+  for (int r = 0; r < trace_.num_ranks(); ++r) {
+    const auto& ivs = trace_.ranks[static_cast<std::size_t>(r)].intervals;
+    ASSERT_EQ(one_block.block_end(r, 0), ivs.size());
+    EXPECT_DOUBLE_EQ(one_block.block_max_t1(r, 0), ivs.back().t1);
+    for (MetricKind metric : kAllMetrics) {
+      double time = 0.0;
+      for (const auto& iv : ivs)
+        if (filter.matches(iv, metric)) time += iv.duration();
+      EXPECT_EQ(one_block.block_may_contribute(r, 0, filter, metric), time > 0.0)
+          << "rank " << r << " metric " << metric_name(metric);
+    }
+  }
 }
 
 TEST_F(BlockMaxUnit, BlockSizeOneMatchesIndexEverywhere) {
+  // One interval per block: the summary's verdict must equal the
+  // interval's own filter test at every position (a block may contribute
+  // iff its interval matches and has nonzero duration).
   BlockIndex fine(trace_, nullptr, 1);
-  const FocusFilter& filter = view_.compiled(Focus::whole_program(view_.resources()));
-  for (double t0 = -0.25; t0 < trace_.duration; t0 += 0.45)
-    for (double t1 = t0; t1 < trace_.duration + 0.5; t1 += 0.6)
-      for (MetricKind metric : kAllMetrics)
-        EXPECT_NEAR(fine.query(filter, metric, t0, t1),
-                    view_.query(metric, filter, t0, t1), 1e-9)
-            << "window [" << t0 << ", " << t1 << ")";
+  for (const Focus& focus : unit_foci(view_)) {
+    const FocusFilter& filter = view_.compiled(focus);
+    for (int r = 0; r < trace_.num_ranks(); ++r) {
+      const auto& ivs = trace_.ranks[static_cast<std::size_t>(r)].intervals;
+      for (std::size_t i = 0; i < ivs.size(); ++i) {
+        ASSERT_EQ(fine.block_end(r, i), i + 1);
+        EXPECT_DOUBLE_EQ(fine.block_max_t1(r, i), ivs[i].t1);
+        for (MetricKind metric : kAllMetrics)
+          EXPECT_EQ(fine.block_may_contribute(r, i, filter, metric),
+                    filter.matches(ivs[i], metric) && ivs[i].duration() > 0.0)
+              << "focus " << focus.name() << " rank " << r << " interval " << i
+              << " metric " << metric_name(metric);
+      }
+    }
+  }
 }
 
 TEST_F(BlockMaxUnit, RebuiltFromSnapshotColumnsMatches) {
-  // The trace-cache hit path: a BlockIndex adopting SoA columns must equal
-  // one derived from the AoS intervals.
+  // The trace-cache hit path: summaries read from SoA columns must equal
+  // the ones derived from the AoS intervals.
   simmpi::TraceColumns columns;
   columns.ranks.resize(trace_.ranks.size());
   for (std::size_t r = 0; r < trace_.ranks.size(); ++r) {
@@ -390,37 +282,19 @@ TEST_F(BlockMaxUnit, RebuiltFromSnapshotColumnsMatches) {
   ASSERT_TRUE(columns.matches(trace_));
   BlockIndex from_columns(trace_, &columns, 4);
   BlockIndex from_trace(trace_, nullptr, 4);
-  const FocusFilter& filter = view_.compiled(Focus::whole_program(view_.resources()));
-  for (MetricKind metric : kAllMetrics)
-    EXPECT_DOUBLE_EQ(from_columns.query(filter, metric, 0.0, trace_.duration),
-                     from_trace.query(filter, metric, 0.0, trace_.duration));
-}
-
-// ------------------------------------------- consultant end-to-end parity
-
-TEST(BlockMaxConsultant, DiagnosesIdenticalToScanEngine) {
-  // The batched engine now rides the block-skip fast path; diagnoses must
-  // still be bit-identical to the per-instance scan engine.
-  apps::AppParams params;
-  params.target_duration = 200.0;
-  pc::PcConfig batched;
-  batched.batched_eval = true;
-  pc::PcConfig scan;
-  scan.batched_eval = false;
-
-  core::DiagnosisSession a("poisson_b", params, batched);
-  core::DiagnosisSession b("poisson_b", params, scan);
-  const pc::DiagnosisResult ra = a.diagnose();
-  const pc::DiagnosisResult rb = b.diagnose();
-
-  EXPECT_EQ(ra.stats.pairs_tested, rb.stats.pairs_tested);
-  EXPECT_EQ(ra.stats.nodes_created, rb.stats.nodes_created);
-  ASSERT_EQ(ra.bottlenecks.size(), rb.bottlenecks.size());
-  for (std::size_t i = 0; i < ra.bottlenecks.size(); ++i) {
-    EXPECT_EQ(ra.bottlenecks[i].hypothesis, rb.bottlenecks[i].hypothesis);
-    EXPECT_EQ(ra.bottlenecks[i].focus, rb.bottlenecks[i].focus);
-    EXPECT_DOUBLE_EQ(ra.bottlenecks[i].t_found, rb.bottlenecks[i].t_found);
-    EXPECT_DOUBLE_EQ(ra.bottlenecks[i].fraction, rb.bottlenecks[i].fraction);
+  for (const Focus& focus : unit_foci(view_)) {
+    const FocusFilter& filter = view_.compiled(focus);
+    for (int r = 0; r < trace_.num_ranks(); ++r) {
+      const std::size_t n = trace_.ranks[static_cast<std::size_t>(r)].intervals.size();
+      for (std::size_t b = 0; b * 4 < n; ++b) {
+        EXPECT_EQ(from_columns.block_end(r, b), from_trace.block_end(r, b));
+        EXPECT_DOUBLE_EQ(from_columns.block_max_t1(r, b), from_trace.block_max_t1(r, b));
+        for (MetricKind metric : kAllMetrics)
+          EXPECT_EQ(from_columns.block_may_contribute(r, b, filter, metric),
+                    from_trace.block_may_contribute(r, b, filter, metric))
+              << "focus " << focus.name() << " rank " << r << " block " << b;
+      }
+    }
   }
 }
 

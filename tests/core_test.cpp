@@ -25,10 +25,16 @@ TEST(Session, UnknownAppThrows) {
 }
 
 TEST(Session, LastShgPopulatedByDiagnose) {
+  // The hook sees the finished graph of the diagnosis it was passed to.
   DiagnosisSession s("bubba", quick());
-  EXPECT_TRUE(s.last_shg().empty());
-  s.diagnose();
-  EXPECT_NE(s.last_shg().find("TopLevelHypothesis"), std::string::npos);
+  std::size_t graph_nodes = 0;
+  std::string shg;
+  const pc::DiagnosisResult r = s.diagnose({}, [&](const pc::SearchHistoryGraph& g) {
+    graph_nodes = g.size();
+    shg = g.render();
+  });
+  EXPECT_EQ(graph_nodes, r.nodes.size() + 1);  // the snapshot omits the virtual root
+  EXPECT_NE(shg.find("TopLevelHypothesis"), std::string::npos);
 }
 
 TEST(Session, ConfigMutationAffectsNextDiagnosis) {

@@ -12,6 +12,7 @@
 #include "pc/directives.h"
 #include "pc/hypothesis.h"
 #include "resources/focus.h"
+#include "resources/focus_table.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -61,7 +62,7 @@ const std::vector<std::string>& resource_pool() {
   static const std::vector<std::string> pool = {
       "/Code",          "/Code/a.f",    "/Code/a.f/f1", "/Code/b.f",
       "/Code/b.f/main", "/Machine/n1",  "/Process/p1",  "/SyncObject/sem",
-      "/Machine",       "/SyncObject/msgtag/42"};
+      "/Machine",       "/SyncObject/msgtag/42", "/SyncObject/msgtag"};
   return pool;
 }
 
@@ -93,6 +94,27 @@ std::vector<Focus> make_focus_pool(const resources::ResourceDb& db) {
   pool.push_back(
       whole.with_part(0, "/Code/b.f/main").with_part(1, "/Machine/n1"));
   return pool;
+}
+
+/// Query-only foci whose SyncObject part is foreign to make_db(), as a
+/// hypothesis's sync scope can produce: the index has no coverage bit for
+/// them and falls back to the prefix test.
+std::vector<Focus> make_foreign_foci(const resources::ResourceDb& db) {
+  const Focus whole = Focus::whole_program(db);
+  return {whole.with_part(3, "/SyncObject/msgtag/7"),
+          whole.with_part(3, "/SyncObject/Collective"),
+          whole.with_part(0, "/Code/a.f/f1").with_part(3, "/SyncObject/msgtag/7")};
+}
+
+/// The hypotheses the index is built for: every named pool hypothesis plus
+/// one that no directive mentions.
+HypothesisSet make_hypotheses() {
+  std::vector<std::string> names = hypothesis_pool();
+  names.front() = "NoSuchHypothesis";  // in place of "*"
+  HypothesisSet hyps;
+  for (const std::string& name : names)
+    hyps.add({name, metrics::MetricKind::CpuTime, 0.20, false, {}, ""});
+  return hyps;
 }
 
 template <typename T>
@@ -131,26 +153,28 @@ class DirectiveIndexFuzz : public testing::TestWithParam<std::uint64_t> {};
 TEST_P(DirectiveIndexFuzz, IndexAgreesWithScanOnRandomQueries) {
   util::Rng rng(GetParam());
   const resources::ResourceDb db = make_db();
+  resources::FocusTable table(db);
+  const HypothesisSet hyps = make_hypotheses();
   const std::vector<Focus> foci = make_focus_pool(db);
-  // Queries include every pool hypothesis (among them the literal "*") and
-  // names no directive mentions.
-  std::vector<std::string> query_hyps = hypothesis_pool();
-  query_hyps.push_back("NoSuchHypothesis");
+  std::vector<Focus> queries = foci;
+  for (Focus& f : make_foreign_foci(db)) queries.push_back(std::move(f));
 
   for (int round = 0; round < 40; ++round) {
     const DirectiveSet set = random_set(rng, foci);
-    const DirectiveIndex index(set);
-    for (const auto& hyp : query_hyps) {
-      for (const Focus& focus : foci) {
-        EXPECT_EQ(index.prune_match(hyp, focus), set.prune_match(hyp, focus))
-            << "hyp=" << hyp << " focus=" << focus.name() << "\n"
+    const DirectiveIndex index(set, table, hyps);
+    for (int hyp = 0; hyp < static_cast<int>(hyps.size()); ++hyp) {
+      const std::string& name = hyps.at(hyp).name;
+      for (const Focus& focus : queries) {
+        const resources::FocusId fid = table.intern(focus);
+        EXPECT_EQ(index.prune_match(hyp, fid), set.prune_match(name, focus))
+            << "hyp=" << name << " focus=" << focus.name() << "\n"
             << set.serialize();
-        EXPECT_EQ(index.priority_of(hyp, focus.name()), set.priority_of(hyp, focus.name()))
-            << "hyp=" << hyp << " focus=" << focus.name() << "\n"
+        EXPECT_EQ(index.priority_of(hyp, fid), set.priority_of(name, focus.name()))
+            << "hyp=" << name << " focus=" << focus.name() << "\n"
             << set.serialize();
       }
-      EXPECT_EQ(index.threshold_for(hyp), set.threshold_for(hyp))
-          << "hyp=" << hyp << "\n"
+      EXPECT_EQ(index.threshold_for(hyp), set.threshold_for(name))
+          << "hyp=" << name << "\n"
           << set.serialize();
     }
   }
@@ -160,28 +184,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DirectiveIndexFuzz, testing::Range<std::uint64_t
 
 TEST(DirectiveIndex, EmptySetMatchesScanDefaults) {
   const resources::ResourceDb db = make_db();
-  const Focus whole = Focus::whole_program(db);
+  resources::FocusTable table(db);
+  const HypothesisSet hyps = make_hypotheses();
   const DirectiveSet set;
-  const DirectiveIndex index(set);
-  EXPECT_EQ(index.prune_match("CPUbound", whole), DirectiveSet::PruneKind::None);
-  EXPECT_EQ(index.priority_of("CPUbound", whole.name()), Priority::Medium);
-  EXPECT_EQ(index.threshold_for("CPUbound"), std::nullopt);
+  const DirectiveIndex index(set, table, hyps);
+  const int cpu = *hyps.index_of("CPUbound");
+  const resources::FocusId whole = table.whole_program();
+  EXPECT_EQ(index.prune_match(cpu, whole), DirectiveSet::PruneKind::None);
+  EXPECT_EQ(index.priority_of(cpu, whole), Priority::Medium);
+  EXPECT_EQ(index.threshold_for(cpu), std::nullopt);
+  const resources::FocusId foreign = table.intern(make_foreign_foci(db).front());
+  EXPECT_EQ(index.prune_match(cpu, foreign), DirectiveSet::PruneKind::None);
 }
 
 TEST(DirectiveIndex, SubtreeReportedOverPairWhenBothMatch) {
   // The scan checks subtree prunes before pair prunes; the index must
   // report the same kind for a pair covered by both.
   const resources::ResourceDb db = make_db();
+  resources::FocusTable table(db);
+  const HypothesisSet hyps = make_hypotheses();
   const Focus narrowed = Focus::whole_program(db).with_part(0, "/Code/a.f/f1");
   DirectiveSet set;
   set.pair_prunes.push_back({"CPUbound", narrowed.name()});
   set.prunes.push_back({"CPUbound", "/Code/a.f"});
-  const DirectiveIndex index(set);
+  const DirectiveIndex index(set, table, hyps);
+  const resources::FocusId fid = table.intern(narrowed);
   EXPECT_EQ(set.prune_match("CPUbound", narrowed), DirectiveSet::PruneKind::Subtree);
-  EXPECT_EQ(index.prune_match("CPUbound", narrowed), DirectiveSet::PruneKind::Subtree);
+  EXPECT_EQ(index.prune_match(*hyps.index_of("CPUbound"), fid),
+            DirectiveSet::PruneKind::Subtree);
   // For another hypothesis only the wildcard-free pair prune is out of
   // reach; nothing matches.
-  EXPECT_EQ(index.prune_match("TotalExecutionTime", narrowed),
+  EXPECT_EQ(index.prune_match(*hyps.index_of("TotalExecutionTime"), fid),
             DirectiveSet::PruneKind::None);
 }
 

@@ -26,6 +26,8 @@ simmpi::ExecutionTrace make_trace(int nranks = 4) {
 class InstrTest : public testing::Test {
  protected:
   InstrTest() : trace_(make_trace()), view_(trace_) {}
+  /// Probes and costs take foci interned in the view's table.
+  resources::FocusId id(const Focus& focus) { return view_.foci().intern(focus); }
   simmpi::ExecutionTrace trace_;
   metrics::TraceView view_;
 };
@@ -35,9 +37,9 @@ TEST_F(InstrTest, CostGrowsWithFocusBreadth) {
   const Focus whole = Focus::whole_program(view_.resources());
   const Focus mod = whole.with_part(0, "/Code/mod.c");
   const Focus func = whole.with_part(0, "/Code/mod.c/work");
-  const double c_whole = cm.probe_cost(view_, whole, MetricKind::CpuTime);
-  const double c_mod = cm.probe_cost(view_, mod, MetricKind::CpuTime);
-  const double c_func = cm.probe_cost(view_, func, MetricKind::CpuTime);
+  const double c_whole = cm.probe_cost(view_, id(whole), MetricKind::CpuTime);
+  const double c_mod = cm.probe_cost(view_, id(mod), MetricKind::CpuTime);
+  const double c_func = cm.probe_cost(view_, id(func), MetricKind::CpuTime);
   EXPECT_GT(c_whole, c_mod);
   EXPECT_GT(c_mod, c_func);
 }
@@ -46,22 +48,22 @@ TEST_F(InstrTest, CostScalesWithSelectedRanks) {
   CostModel cm;
   const Focus whole = Focus::whole_program(view_.resources());
   const Focus one = whole.with_part(2, "/Process/proc:1");
-  EXPECT_NEAR(cm.probe_cost(view_, whole, MetricKind::CpuTime),
-              4 * cm.probe_cost(view_, one, MetricKind::CpuTime), 1e-12);
+  EXPECT_NEAR(cm.probe_cost(view_, id(whole), MetricKind::CpuTime),
+              4 * cm.probe_cost(view_, id(one), MetricKind::CpuTime), 1e-12);
 }
 
 TEST_F(InstrTest, SyncConstraintAddsCost) {
   CostModel cm;
   const Focus whole = Focus::whole_program(view_.resources());
   const Focus sync = whole.with_part(3, "/SyncObject/Collective/Barrier");
-  EXPECT_GT(cm.probe_cost(view_, sync, MetricKind::SyncWaitTime),
-            cm.probe_cost(view_, whole, MetricKind::SyncWaitTime));
+  EXPECT_GT(cm.probe_cost(view_, id(sync), MetricKind::SyncWaitTime),
+            cm.probe_cost(view_, id(whole), MetricKind::SyncWaitTime));
 }
 
 TEST_F(InstrTest, InsertionLatencyDelaysData) {
   InstrumentationManager mgr(view_, CostModel{}, /*insertion_latency=*/2.0);
   const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId p = mgr.insert(MetricKind::CpuTime, whole, /*now=*/1.0);
+  ProbeId p = mgr.insert(MetricKind::CpuTime, id(whole), /*now=*/1.0);
   mgr.advance(2.5);  // data collection starts at 3.0
   EXPECT_DOUBLE_EQ(mgr.read(p).observed, 0.0);
   EXPECT_DOUBLE_EQ(mgr.read(p).value, 0.0);
@@ -73,8 +75,8 @@ TEST_F(InstrTest, InsertionLatencyDelaysData) {
 TEST_F(InstrTest, RemoveFreesCost) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
   const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId a = mgr.insert(MetricKind::CpuTime, whole, 0.0);
-  ProbeId b = mgr.insert(MetricKind::SyncWaitTime, whole, 0.0);
+  ProbeId a = mgr.insert(MetricKind::CpuTime, id(whole), 0.0);
+  ProbeId b = mgr.insert(MetricKind::SyncWaitTime, id(whole), 0.0);
   const double both = mgr.total_cost();
   EXPECT_GT(both, 0.0);
   EXPECT_EQ(mgr.num_active(), 2u);
@@ -92,25 +94,25 @@ TEST_F(InstrTest, RemoveFreesCost) {
 TEST_F(InstrTest, PeakCostTracksHighWaterMark) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
   const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId a = mgr.insert(MetricKind::CpuTime, whole, 0.0);
+  ProbeId a = mgr.insert(MetricKind::CpuTime, id(whole), 0.0);
   const double peak = mgr.total_cost();
   mgr.remove(a);
-  mgr.insert(MetricKind::CpuTime, whole.with_part(2, "/Process/proc:1"), 0.0);
+  mgr.insert(MetricKind::CpuTime, id(whole.with_part(2, "/Process/proc:1")), 0.0);
   EXPECT_DOUBLE_EQ(mgr.peak_cost(), peak);
 }
 
 TEST_F(InstrTest, PredictMatchesInsertCost) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
   const Focus f = Focus::whole_program(view_.resources()).with_part(0, "/Code/mod.c");
-  const double predicted = mgr.predict_cost(MetricKind::CpuTime, f);
-  ProbeId p = mgr.insert(MetricKind::CpuTime, f, 0.0);
+  const double predicted = CostModel{}.probe_cost(view_, id(f), MetricKind::CpuTime);
+  ProbeId p = mgr.insert(MetricKind::CpuTime, id(f), 0.0);
   EXPECT_DOUBLE_EQ(mgr.probe_cost(p), predicted);
 }
 
 TEST_F(InstrTest, SampleFractionNormalizes) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
   const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId p = mgr.insert(MetricKind::ExecTime, whole, 0.0);
+  ProbeId p = mgr.insert(MetricKind::ExecTime, id(whole), 0.0);
   mgr.advance(10.0);
   const ProbeSample s = mgr.read(p);
   EXPECT_EQ(s.selected_ranks, 4);

@@ -204,8 +204,8 @@ TEST(Integration, ExecutionMapShowsVersionDifferences) {
 
 TEST(Integration, SessionExposesShgRendering) {
   core::DiagnosisSession s("poisson_c", short_run(200.0));
-  s.diagnose();
-  const std::string& shg = s.last_shg();
+  std::string shg;
+  s.diagnose({}, [&](const pc::SearchHistoryGraph& g) { shg = g.render(); });
   EXPECT_NE(shg.find("TopLevelHypothesis"), std::string::npos);
   EXPECT_NE(shg.find("ExcessiveSyncWaitingTime"), std::string::npos);
 }
